@@ -42,7 +42,7 @@ if [[ "$QUICK" -eq 0 ]]; then
   cargo build --release "$LOCKED"
 fi
 
-stage "workspace tests (strict superset of the tier-1 'cargo test -q')"
+stage "workspace tests (the same set as the tier-1 'cargo test -q')"
 cargo test --workspace -q "$LOCKED"
 
 stage "formatting"

@@ -10,6 +10,10 @@
 //! * `engine_quantum` — one 20-core simulator quantum (the
 //!   reproduction's experiment throughput);
 //! * `scheduler_pull` — work-stealing chunk acquisition;
+//! * `dag_build_heat_irt_full` / `central_queue_drain_heat_irt` —
+//!   generating and building the full-scale Heat-irt task DAG (~500k
+//!   tasks), and supplying every one of its chunks through the OpenMP
+//!   central queue: the task layer's build and supply cost per cell;
 //! * `grid_cell` — one end-to-end scenario-grid cell at tiny scale
 //!   (what each `--shards` worker executes per steal; the setup path
 //!   is shared with every figure/table bin);
@@ -148,6 +152,39 @@ fn bench_scheduler(c: &mut Criterion) {
                 black_box(handed)
             },
             BatchSize::SmallInput,
+        );
+    });
+}
+
+fn bench_task_dag(c: &mut Criterion) {
+    use tasking::steal::CentralQueueScheduler;
+    use workloads::{heat, BuiltWorkload, Scale, Style};
+    fn heat_irt_full() -> tasking::TaskDag {
+        match heat::build(Style::IrregularTasks, Scale(1.0), 20) {
+            BuiltWorkload::Dag(dag) => dag,
+            BuiltWorkload::Regions(_) => unreachable!("Heat-irt is task-parallel"),
+        }
+    }
+    c.bench_function("dag_build_heat_irt_full", |b| {
+        b.iter(|| black_box(heat_irt_full().len()));
+    });
+    c.bench_function("central_queue_drain_heat_irt", |b| {
+        b.iter_batched(
+            || CentralQueueScheduler::new(heat_irt_full(), 20),
+            |mut s| {
+                let mut handed = 0u64;
+                for core in (0..20).cycle() {
+                    if s.next_chunk(core, 0).is_none() {
+                        if s.is_done() {
+                            break;
+                        }
+                    } else {
+                        handed += 1;
+                    }
+                }
+                black_box(handed)
+            },
+            BatchSize::LargeInput,
         );
     });
 }
@@ -377,6 +414,7 @@ criterion_group!(
     bench_tipi_list,
     bench_engine,
     bench_scheduler,
+    bench_task_dag,
     bench_grid_cell,
     bench_bsp_superstep,
     bench_advance_idle,

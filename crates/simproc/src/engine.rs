@@ -815,6 +815,8 @@ impl SimProcessor {
     /// quantum count then absorbs the sub-quantum floating-point drift
     /// the per-quantum slicing accumulates.
     pub fn busy_runway_quanta(&self) -> u64 {
+        let t_ml = self.perf.t_miss_local(self.uf);
+        let t_mr = self.perf.t_miss_remote(self.uf);
         let mut earliest = f64::INFINITY;
         for (core, st) in self.cores.iter().enumerate() {
             let Some(rc) = st.current.as_ref() else {
@@ -823,9 +825,7 @@ impl SimProcessor {
             let duty = self.msr.duty_fraction(core);
             let cf_eff_hz = self.cf.hz() * duty;
             let compute = rc.remaining_instr * rc.profile.cpi / cf_eff_hz;
-            let stall = (rc.remaining_ml * self.perf.t_miss_local(self.uf)
-                + rc.remaining_mr * self.perf.t_miss_remote(self.uf))
-                / rc.profile.mlp;
+            let stall = (rc.remaining_ml * t_ml + rc.remaining_mr * t_mr) / rc.profile.mlp;
             earliest = earliest.min(compute + stall);
         }
         let quantum_s = self.spec.quantum_ns as f64 * 1e-9;

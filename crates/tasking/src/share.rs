@@ -81,6 +81,8 @@ pub struct WorkSharingScheduler {
     /// Cursor into each core's list of the current region.
     cursor: Vec<usize>,
     current: Option<Region>,
+    /// Chunks of the current region not yet handed out.
+    remaining: usize,
     in_flight: usize,
     regions_done: usize,
     /// Whether each core currently holds a handed-out, uncompleted chunk.
@@ -96,6 +98,7 @@ impl WorkSharingScheduler {
             regions,
             cursor: vec![0; n_cores],
             current: None,
+            remaining: 0,
             in_flight: 0,
             regions_done: 0,
             handed: vec![false; n_cores],
@@ -117,20 +120,14 @@ impl WorkSharingScheduler {
                 self.regions_done += 1;
                 continue;
             }
+            self.remaining = r.len();
             self.current = Some(r);
             break;
         }
     }
 
     fn region_drained(&self) -> bool {
-        match &self.current {
-            None => true,
-            Some(r) => r
-                .per_core
-                .iter()
-                .enumerate()
-                .all(|(core, list)| self.cursor.get(core).copied().unwrap_or(0) >= list.len()),
-        }
+        self.current.is_none() || self.remaining == 0
     }
 }
 
@@ -163,6 +160,7 @@ impl Workload for WorkSharingScheduler {
         }
         let chunk = list[at].clone();
         self.cursor[core] = at + 1;
+        self.remaining -= 1;
         self.in_flight += 1;
         self.set_handed(core, true);
         Some(chunk)

@@ -9,6 +9,23 @@
 //! (after Chen et al. [ICS'14]): a *regular* DAG whose interior nodes
 //! have uniform degree, and an *irregular* one with mixed degrees. Both
 //! are just shapes of this one type.
+//!
+//! # Layout
+//!
+//! Full-scale Heat and SOR DAGs hold 350k–510k tasks, so the edge list
+//! is stored flat, in compressed sparse row (CSR) form, rather than as
+//! one `Vec` per task:
+//!
+//! * `offsets` — `n + 1` `u32`s; task `i`'s successors are
+//!   `targets[offsets[i]..offsets[i + 1]]`;
+//! * `targets` — one `u32` per edge, grouped by source task, each
+//!   group in `add_dep` call order.
+//!
+//! A task therefore costs its [`Chunk`], 4 bytes of offset, 4 bytes of
+//! in-degree and 4 bytes per outgoing edge, with no heap allocation of
+//! its own; the whole DAG is four allocations however many tasks it
+//! has. [`DagBuilder`] logs `(before, after)` edges in call order and
+//! counting-sorts them into this layout in [`DagBuilder::build`].
 
 use simproc::engine::Chunk;
 
@@ -20,7 +37,10 @@ pub struct TaskId(pub u32);
 #[derive(Debug, Clone)]
 pub struct TaskDag {
     chunks: Vec<Chunk>,
-    succs: Vec<Vec<u32>>,
+    /// CSR row starts: task `i`'s successors are
+    /// `targets[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
     indeg: Vec<u32>,
 }
 
@@ -47,7 +67,8 @@ impl TaskDag {
 
     /// Successor task ids of `id`.
     pub fn successors(&self, id: TaskId) -> &[u32] {
-        &self.succs[id.0 as usize]
+        let i = id.0 as usize;
+        &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// In-degree of each task (cloned; schedulers mutate their copy).
@@ -88,7 +109,8 @@ impl TaskDag {
 #[derive(Debug, Default)]
 pub struct DagBuilder {
     chunks: Vec<Chunk>,
-    succs: Vec<Vec<u32>>,
+    /// `(before, after)` edges in `add_dep` call order.
+    edges: Vec<(u32, u32)>,
     indeg: Vec<u32>,
 }
 
@@ -97,7 +119,6 @@ impl DagBuilder {
     pub fn add_task(&mut self, chunk: Chunk) -> TaskId {
         let id = TaskId(self.chunks.len() as u32);
         self.chunks.push(chunk);
-        self.succs.push(Vec::new());
         self.indeg.push(0);
         id
     }
@@ -126,7 +147,7 @@ impl DagBuilder {
             (after.0 as usize) < self.chunks.len(),
             "unknown task {after:?}"
         );
-        self.succs[before.0 as usize].push(after.0);
+        self.edges.push((before.0, after.0));
         self.indeg[after.0 as usize] += 1;
     }
 
@@ -159,9 +180,34 @@ impl DagBuilder {
     /// # Panics
     /// Panics if the dependency graph contains a cycle.
     pub fn build(self) -> TaskDag {
+        // Counting sort into CSR: count out-degrees, prefix-sum them
+        // into row ends, then place the edges back to front,
+        // decrementing each source's cursor — which leaves every row
+        // holding its edges in call order and every offset at its
+        // row's start.
+        assert!(
+            u32::try_from(self.edges.len()).is_ok(),
+            "task DAG has more than u32::MAX edges"
+        );
+        let mut offsets = vec![0u32; self.chunks.len() + 1];
+        for &(before, _) in &self.edges {
+            offsets[before as usize] += 1;
+        }
+        let mut end = 0u32;
+        for o in &mut offsets {
+            end += *o;
+            *o = end;
+        }
+        let mut targets = vec![0u32; self.edges.len()];
+        for &(before, after) in self.edges.iter().rev() {
+            let at = &mut offsets[before as usize];
+            *at -= 1;
+            targets[*at as usize] = after;
+        }
         let dag = TaskDag {
             chunks: self.chunks,
-            succs: self.succs,
+            offsets,
+            targets,
             indeg: self.indeg,
         };
         // Kahn's algorithm: all tasks must be reachable at in-degree 0.
@@ -175,7 +221,7 @@ impl DagBuilder {
         let mut seen = 0usize;
         while let Some(t) = queue.pop() {
             seen += 1;
-            for &s in &dag.succs[t as usize] {
+            for &s in dag.successors(TaskId(t)) {
                 indeg[s as usize] -= 1;
                 if indeg[s as usize] == 0 {
                     queue.push(s);
@@ -208,6 +254,48 @@ mod tests {
         assert_eq!(dag.roots().collect::<Vec<_>>(), vec![a]);
         assert_eq!(dag.successors(a), &[x.0, y.0]);
         assert_eq!(dag.total_instructions(), 6000);
+    }
+
+    #[test]
+    fn successors_keep_add_dep_order() {
+        // Edges added in an interleaved, non-sorted order across
+        // sources, plus a wide barrier that inserts a join node: each
+        // task's successors must be exactly its `add_dep` targets in
+        // call order.
+        let mut b = TaskDag::builder();
+        let ids: Vec<TaskId> = (0..8).map(|_| b.add_task(c(10))).collect();
+        let mut expected: Vec<Vec<u32>> = vec![Vec::new(); 8];
+        let edges = [
+            (3, 7),
+            (0, 5),
+            (3, 4),
+            (0, 2),
+            (1, 7),
+            (3, 5),
+            (0, 1),
+            (2, 6),
+        ];
+        for (x, y) in edges {
+            b.add_dep(ids[x], ids[y]);
+            expected[x].push(ids[y].0);
+        }
+        let before: Vec<TaskId> = (0..9).map(|_| b.add_task(c(10))).collect();
+        let after: Vec<TaskId> = (0..9).map(|_| b.add_task(c(10))).collect();
+        expected.extend((0..18).map(|_| Vec::new()));
+        b.barrier(&before, &after);
+        let join = TaskId(26);
+        for t in &before {
+            expected[t.0 as usize].push(join.0);
+        }
+        expected.push(after.iter().map(|t| t.0).collect());
+        b.add_dep(ids[7], before[4]);
+        expected[7].push(before[4].0);
+        let dag = b.build();
+        assert_eq!(dag.len(), expected.len());
+        assert_eq!(*dag.chunk(join), Chunk::new(0, 0, 0));
+        for (i, succ) in expected.iter().enumerate() {
+            assert_eq!(dag.successors(TaskId(i as u32)), &succ[..], "task {i}");
+        }
     }
 
     #[test]

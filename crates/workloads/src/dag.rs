@@ -75,10 +75,28 @@ fn build_subtree(
     // Split the leaf span into `d` parts. The irregular shape skews the
     // split (first child gets a larger share) so subtree sizes — and
     // hence task availability over time — are uneven.
-    let parts = match shape {
-        TreeShape::Regular(_) => even_split(leaves.len(), d),
-        TreeShape::Irregular => skewed_split(leaves.len(), d, rng),
-    };
+    let n = leaves.len();
+    match shape {
+        TreeShape::Regular(_) => {
+            spawn_children(b, node, leaves, even_split(n, d), shape, rng);
+        }
+        TreeShape::Irregular => {
+            spawn_children(b, node, leaves, skewed_split(n, d, rng), shape, rng);
+        }
+    }
+    node
+}
+
+/// Build one subtree per non-empty part of `leaves` (consecutive spans
+/// of the given sizes) and make each a child of `node`.
+fn spawn_children(
+    b: &mut DagBuilder,
+    node: TaskId,
+    leaves: &[TaskId],
+    parts: impl Iterator<Item = usize>,
+    shape: TreeShape,
+    rng: &mut SmallRng,
+) {
     let mut at = 0usize;
     for part in parts {
         if part == 0 {
@@ -88,22 +106,20 @@ fn build_subtree(
         b.add_dep(node, child);
         at += part;
     }
-    node
 }
 
-fn even_split(n: usize, d: usize) -> Vec<usize> {
+fn even_split(n: usize, d: usize) -> impl Iterator<Item = usize> {
     let base = n / d;
     let extra = n % d;
-    (0..d).map(|i| base + usize::from(i < extra)).collect()
+    (0..d).map(move |i| base + usize::from(i < extra))
 }
 
-fn skewed_split(n: usize, d: usize, rng: &mut SmallRng) -> Vec<usize> {
-    // First part takes 35-65% of the span, the rest split evenly.
+fn skewed_split(n: usize, d: usize, rng: &mut SmallRng) -> impl Iterator<Item = usize> {
+    // First part takes 35-65% of the span, the rest split evenly. The
+    // draw happens here, before any child subtree draws its own.
     let first = ((n as f64) * rng.gen_range(0.35..0.65)).round() as usize;
     let first = first.clamp(1, n.saturating_sub(d - 1).max(1));
-    let mut parts = vec![first];
-    parts.extend(even_split(n - first, d - 1));
-    parts
+    std::iter::once(first).chain(even_split(n - first, d - 1))
 }
 
 /// Build a complete iterative task workload: `iters` repetitions of a
