@@ -67,6 +67,14 @@ stage "bench bins build: release"
 cargo build --release -p bench --bins "$LOCKED"
 cargo build --release -p serve --bins "$LOCKED"
 
+stage "perfbench builds"
+# perfbench (the repository benchmark, BENCHMARK.json) is a package of
+# its own outside the workspace, so no stage above compiles it and a
+# public-API change could break the benchmark unseen. Its build output
+# goes under target/; nothing in perfbench/ changes.
+CARGO_TARGET_DIR=target/perfbench-check cargo build --release "$LOCKED" \
+  --manifest-path perfbench/Cargo.toml
+
 stage "fuzz smoke"
 # Differential six-governor fuzzing over the fixed-seed campaign (see
 # docs/FUZZING.md): zero invariant violations, and the report must be

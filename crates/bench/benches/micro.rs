@@ -7,8 +7,10 @@
 //! * `exploration_advance` — one Algorithm 2 step;
 //! * `tipi_list` — node insertion with neighbour inheritance and
 //!   §4.5 propagation at AMG-like list sizes;
-//! * `engine_quantum` — one 20-core simulator quantum (the
-//!   reproduction's experiment throughput);
+//! * `engine_quantum_20core` — one 20-core simulator quantum (the
+//!   reproduction's experiment throughput); `_mixed` runs the same
+//!   quantum in a regime where chunks finish mid-quantum, one core is
+//!   duty-cycled and one is never fed (the kernel's general path);
 //! * `scheduler_pull` — work-stealing chunk acquisition;
 //! * `dag_build_heat_irt_full` / `central_queue_drain_heat_irt` —
 //!   generating and building the full-scale Heat-irt task DAG (~500k
@@ -119,6 +121,58 @@ fn bench_engine(c: &mut Criterion) {
         let mut p = SimProcessor::new(HASWELL_2650V3.clone());
         let mut wl =
             Steady(Chunk::new(1_000_000, 56_000, 8_000).with_profile(CostProfile::new(0.55, 12.0)));
+        b.iter(|| {
+            p.step(&mut wl);
+            black_box(p.now_ns())
+        });
+    });
+
+    /// The engine's general path: UF 1.2 GHz (bandwidth overload), one
+    /// core at DDCM duty 4/16, one core never fed, and a seeded mix of
+    /// short chunks that finish mid-quantum, long ones that carry over,
+    /// zero-miss chunks, and empty pulls.
+    struct Mixed(u64);
+    impl Workload for Mixed {
+        fn next_chunk(&mut self, core: usize, _t: u64) -> Option<Chunk> {
+            if core == 19 {
+                return None;
+            }
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = self.0 >> 16;
+            let streaming = CostProfile::new(0.55, 12.0);
+            let size = (r >> 3) % 1000;
+            match r % 8 {
+                0 => None,
+                1 | 2 => {
+                    let instr = 20_000 + size * 180;
+                    Some(Chunk::new(instr, instr / 18, instr / 120).with_profile(streaming))
+                }
+                3 => Some(Chunk::new(50_000 + size * 450, 0, 0)),
+                4 => Some(Chunk::new(5_000_000 + size * 35_000, 0, 0)),
+                _ => {
+                    let instr = 2_000_000 + size * 18_000;
+                    Some(Chunk::new(instr, instr / 18, instr / 125).with_profile(streaming))
+                }
+            }
+        }
+        fn is_done(&self) -> bool {
+            false
+        }
+    }
+    c.bench_function("engine_quantum_20core_mixed", |b| {
+        let mut p = SimProcessor::new(HASWELL_2650V3.clone());
+        p.set_core_freq(Freq(19));
+        p.set_uncore_freq(Freq(12));
+        p.msr_write_core(
+            3,
+            simproc::msr::IA32_CLOCK_MODULATION,
+            simproc::msr::MsrFile::encode_clock_modulation(4),
+        )
+        .unwrap();
+        let mut wl = Mixed(0x5EED);
         b.iter(|| {
             p.step(&mut wl);
             black_box(p.now_ns())
@@ -353,7 +407,7 @@ fn bench_advance_busy(c: &mut Criterion) {
     }
     let chunk =
         || Steady(Chunk::new(1_000_000, 56_000, 8_000).with_profile(CostProfile::new(0.55, 12.0)));
-    // The busy steady-state hot path before and after the analytic
+    // The busy steady-state hot path before and after the busy
     // fast-forward: 1000 saturated quanta stepped one by one vs one
     // `advance_busy_quanta` call (bit-identical by construction — the
     // advance replays the same per-quantum arithmetic, so the win is

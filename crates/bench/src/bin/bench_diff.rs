@@ -352,8 +352,8 @@ fn grids(j: &Json) -> Option<&[Json]> {
 /// code. Wall-clock and stepping counters are machine- and
 /// run-dependent by design (which is why `meta` sits outside both
 /// gates), but the *shape* of the counters is worth a glance in CI
-/// logs: a stepping-counter regression — the analytic idle/busy
-/// advances silently disengaging — changes no artifact bytes, so this
+/// logs: a stepping-counter regression — the idle/busy advances
+/// silently disengaging — changes no artifact bytes, so this
 /// side-by-side is the only diff that shows it.
 fn diff_timing_info(base: &Json, cand: &Json) {
     fn timing(j: &Json) -> &[Json] {

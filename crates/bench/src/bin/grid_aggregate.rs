@@ -19,10 +19,9 @@
 //! `--require-fast-forward GRID=MIN` (repeatable) additionally gates
 //! on the virtual-clock layer itself: the named grid's timing sidecar
 //! must be present and report a stepped-vs-total fast-forward ratio of
-//! at least MIN. CI uses this to keep the analytic idle/busy advances
-//! engaged — a regression that silently falls back to per-quantum
-//! stepping still produces bit-identical artifacts, so only the
-//! counters can catch it.
+//! at least MIN. CI uses this to keep the idle/busy advances engaged —
+//! a regression that silently falls back to per-quantum stepping still
+//! produces bit-identical artifacts, so only the counters can catch it.
 //!
 //! Sidecars produced by a store-backed run additionally carry a
 //! `cache` section (result-store hits/misses); it is folded into a

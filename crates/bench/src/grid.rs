@@ -422,7 +422,8 @@ impl GridSpec {
         for mi in order {
             queue.push(mi);
         }
-        let workers = shards.clamp(1, misses.len().max(1));
+        // (no misses, no pool: a warm grid spawns no compute thread)
+        let workers = shards.max(1).min(misses.len());
         let collected: Mutex<Vec<(usize, CellResult, CellTiming)>> =
             Mutex::new(Vec::with_capacity(misses.len()));
 

@@ -119,8 +119,9 @@ pub struct RunOutcome {
     pub stepped_quanta: u64,
     /// Quanta fast-forwarded analytically while parked.
     pub idle_advanced_quanta: u64,
-    /// Quanta fast-forwarded analytically while executing (busy
-    /// steady-state stretches the controller certified).
+    /// Quanta run without the controller while executing (busy
+    /// steady-state stretches the controller certified), each replayed
+    /// through the engine's shared quantum kernel.
     pub busy_advanced_quanta: u64,
     /// Total virtual quanta elapsed — always
     /// `stepped + idle_advanced + busy_advanced`; the per-cell

@@ -16,7 +16,7 @@ use bench::scenario::{obj, Scenario, SCENARIO_SCHEMA};
 use bench::store::StoreStats;
 use bench::Setup;
 use simproc::freq::MachineSpec;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use workloads::WorkloadSpec;
 
 /// Format tag carried by every request and response.
@@ -508,16 +508,59 @@ pub fn write_msg<W: Write>(w: &mut W, msg: &impl ToJson) -> io::Result<()> {
     w.flush()
 }
 
+/// Longest request line the daemon reads, newline included (1 MiB).
+/// A request is one scenario document at most; the cap keeps a single
+/// oversized or newline-free line from growing the daemon's memory
+/// without bound.
+pub const MAX_REQUEST_BYTES: u64 = 1 << 20;
+
 /// Read one newline-delimited message line; `Ok(None)` is clean EOF.
 pub fn read_msg<R: BufRead>(r: &mut R) -> io::Result<Option<String>> {
-    let mut line = String::new();
-    match r.read_line(&mut line)? {
-        0 => Ok(None),
-        _ => Ok(Some(line)),
+    read_msg_capped(r, u64::MAX)
+}
+
+/// [`read_msg`] reading at most `limit` bytes: a line that is still
+/// unterminated after `limit` bytes is an [`io::ErrorKind::InvalidData`]
+/// error, and the rest of it is left unread. Non-UTF-8 lines are the
+/// same kind of error.
+pub(crate) fn read_msg_capped<R: BufRead>(r: &mut R, limit: u64) -> io::Result<Option<String>> {
+    let mut line = Vec::new();
+    let n = r.by_ref().take(limit).read_until(b'\n', &mut line)?;
+    if n == 0 {
+        return Ok(None);
     }
+    if n as u64 == limit && line.last() != Some(&b'\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("request line exceeds {limit} bytes"),
+        ));
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// Parse one message line into `T` (a [`Request`] or [`Response`]).
 pub fn decode<T: FromJson>(line: &str) -> Result<T, JsonError> {
     T::from_json(&Json::parse(line)?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn capped_reads_stop_at_the_limit() {
+        let read = |input: &[u8], limit| read_msg_capped(&mut &input[..], limit);
+        // A line of exactly `limit` bytes, newline included, fits.
+        assert_eq!(read(b"abc\n", 4).unwrap().as_deref(), Some("abc\n"));
+        // An unterminated last line under the limit is a message.
+        assert_eq!(read(b"abc", 4).unwrap().as_deref(), Some("abc"));
+        assert_eq!(read(b"", 4).unwrap(), None);
+        let err = read(b"abcd\n", 4).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("exceeds 4 bytes"), "{err}");
+        let err = read(b"\xff\n", 4).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
 }

@@ -21,8 +21,8 @@
 //! wakes every waiter and the acceptor exits.
 
 use crate::protocol::{
-    decode, read_msg, write_msg, EventKind, JobEvent, JobState, JobTicket, Request, Response,
-    ServeStats, Submission,
+    decode, read_msg_capped, write_msg, EventKind, JobEvent, JobState, JobTicket, Request,
+    Response, ServeStats, Submission, MAX_REQUEST_BYTES,
 };
 use bench::grid::{run_cell_timed, CellResult, CellSpec, GridResult};
 use bench::json::{Json, ToJson};
@@ -370,8 +370,15 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let line = match read_msg(&mut reader) {
+    let line = match read_msg_capped(&mut reader, MAX_REQUEST_BYTES) {
         Ok(Some(line)) => line,
+        // Oversized or not UTF-8: refuse it and close the connection
+        // without reading the rest.
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+            let error = e.to_string();
+            let _ = write_msg(&mut writer, &Response::Error { error });
+            return;
+        }
         Ok(None) | Err(_) => return,
     };
     let request = match decode::<Request>(&line) {

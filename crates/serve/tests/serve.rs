@@ -224,3 +224,41 @@ fn submissions_are_refused_while_draining_and_errors_are_typed() {
     // After shutdown the daemon is gone: connections are refused.
     assert!(client.stats().is_err());
 }
+
+#[test]
+fn an_oversized_request_line_is_refused_and_the_daemon_keeps_serving() {
+    use serve::protocol::{decode, Response, MAX_REQUEST_BYTES};
+    use std::io::{BufRead, BufReader, Write};
+
+    let store = Store::with_code_version(test_root("oversized"), "cv-serve");
+    let (client, server) = spawn_server(store, 1);
+
+    // A 2 MiB line. The daemon stops reading at the cap and closes the
+    // connection, so the tail of the write may fail: send it from a
+    // helper thread while this one reads the refusal.
+    let stream = std::net::TcpStream::connect(client.addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let sender = std::thread::spawn(move || {
+        let mut line = vec![b'x'; 2 * MAX_REQUEST_BYTES as usize];
+        line.push(b'\n');
+        let _ = writer.write_all(&line);
+    });
+    let mut reply = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut reply)
+        .expect("the refusal arrives before the close");
+    match decode::<Response>(&reply).expect("a protocol response") {
+        Response::Error { error } => {
+            assert!(error.contains("exceeds"), "names the cause: {error}")
+        }
+        other => panic!("expected an error response, got {other:?}"),
+    }
+    sender.join().expect("sender thread");
+
+    // A valid request on a new connection is served as usual.
+    let stats = client.stats().expect("the daemon keeps serving");
+    assert_eq!(stats.jobs, 0);
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("clean exit");
+}

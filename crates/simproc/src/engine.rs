@@ -48,19 +48,52 @@
 //!   RAPL counts, `(cf, uf)` residency, and `time_ns` are bit-identical
 //!   to stepping the same quanta one by one (enforced by
 //!   `tests/event_clock.rs`).
-//! * [`SimProcessor::advance_busy`] / [`advance_busy_quanta`]
-//!   fast-forward a *busy* stretch: a per-quantum replay of the exact
-//!   `step` execution body (shared code, so bit-identity holds by
-//!   construction — same chunk slicing, same `next_chunk` call order,
-//!   same repeated RAPL additions, same overload updates) with the
-//!   loop-invariant work hoisted out: pending frequency-control
-//!   application, the uncore-derived miss-latency/bandwidth terms, and
-//!   residency bookkeeping.
+//! * [`SimProcessor::advance_busy`] / [`advance_busy_quanta`] run a
+//!   *busy* stretch without the controller: every quantum of it is
+//!   replayed through the shared quantum kernel (the code `step` runs,
+//!   so bit-identity holds by construction — same chunk slicing, same
+//!   `next_chunk` call order, same repeated RAPL additions, same
+//!   overload updates). Only the pending frequency-control application
+//!   and the residency bookkeeping move out of the per-quantum path;
+//!   the stretch is no cheaper per quantum than stepping.
+//!
+//! ## The quantum kernel
+//!
+//! `execute_quantum` makes two passes over the cores.
+//!
+//! 1. In core-index order, every core that carries a chunk into the
+//!    quantum evaluates that chunk's first slice: pipeline and total
+//!    time, and — when the chunk does not finish this quantum, the
+//!    common case — the executed fraction, the retired counts, the
+//!    remainder, the core's utilization and its effective power
+//!    activity, and it adds to the core's own counters
+//!    (`FIXED_CTR0`, APERF/MPERF). These values depend on nothing but
+//!    the core's own chunk and the quantum's constants, so the per-core
+//!    divisions are independent and pipeline instead of waiting on
+//!    each other.
+//! 2. In rotation order, every core is accounted: a carried slice just
+//!    adds its precomputed values to the quantum's reductions; a core
+//!    whose chunk finishes, or that carries none, runs the general
+//!    slicing loop, which pulls chunks from the [`Workload`] (reusing
+//!    pass 1's times for the carried chunk's segment).
+//!
+//! The passes are bit-identical to running the general loop for every
+//! core. Each lane performs the same IEEE operations on the same
+//! operands with the same grouping (`x · 1.0 == x` exactly, which is
+//! what lets an unmodulated core reuse its utilization as its active
+//! fraction); the `next_chunk` calls and every cross-core sum
+//! (instructions, misses, utilization, power activity) still run once
+//! per core in rotation order; and each per-core MSR accumulator
+//! receives its own core's additions in their original order. The
+//! operating-point constants (miss latencies, bandwidth cap, the power
+//! model's frequency factors, a full quantum's APERF/MPERF ticks) are
+//! evaluated once per applied `(cf, uf)`, by the expressions the
+//! general loop would evaluate.
 //!
 //! ## Busy-stretch validity
 //!
 //! A busy advance is always *numerically* safe — chunk boundaries,
-//! phase changes, and mid-stretch parking are absorbed by the replay,
+//! phase changes, and mid-stretch parking are replayed by the kernel,
 //! which also ends the stretch early once every core parks. What it
 //! skips is the *controller*: no `on_quantum` runs inside the stretch.
 //! A caller may therefore only request as many quanta as the attached
@@ -84,9 +117,9 @@
 //! [`advance_busy_quanta`]: SimProcessor::advance_busy_quanta
 
 use crate::freq::{Freq, MachineSpec};
-use crate::msr::{MsrError, MsrFile};
+use crate::msr::{MsrError, MsrFile, TSC_HZ};
 use crate::perf::{CostProfile, PerfModel, LINE_BYTES};
-use crate::power::PowerModel;
+use crate::power::{PowerModel, PowerPoint};
 
 /// A unit of work: an instruction stream with its LLC-miss counts and
 /// cost profile. Chunks are the only currency between workloads and the
@@ -182,18 +215,78 @@ struct RunningChunk {
     profile: CostProfile,
 }
 
-#[derive(Debug, Clone, Default)]
-struct CoreState {
-    current: Option<RunningChunk>,
-    /// Seconds of pipeline (compute) time within the current quantum
-    /// (wall time — stretched when duty-cycle modulation gates the
-    /// clock).
-    compute_s: f64,
-    /// Seconds the core clock was actually toggling during compute
-    /// (`compute_s · duty`): the dynamic-power-relevant time.
-    active_s: f64,
-    /// Seconds of any execution (compute + stall) within the quantum.
-    busy_s: f64,
+impl RunningChunk {
+    /// Seconds to run the rest of this chunk: `(compute, total)`, the
+    /// pipeline time at the duty-scaled clock `cf_eff_hz` and that
+    /// plus the memory stall inflated by `overload`.
+    fn time_left(
+        &self,
+        cf_eff_hz: f64,
+        t_miss_local: f64,
+        t_miss_remote: f64,
+        overload: f64,
+    ) -> (f64, f64) {
+        let compute = self.remaining_instr * self.profile.cpi / cf_eff_hz;
+        let stall_lat = (self.remaining_ml * t_miss_local + self.remaining_mr * t_miss_remote)
+            / self.profile.mlp;
+        (compute, compute + stall_lat * overload)
+    }
+}
+
+/// A core's pass-1 result in the quantum kernel (see the module doc).
+#[derive(Debug, Clone, Copy)]
+enum Lane {
+    /// No chunk carried in: the core pulls from the workload in pass 2.
+    Fetch,
+    /// The carried chunk finishes this quantum; its first segment's
+    /// `(compute, total)` seconds.
+    Finish(f64, f64),
+    /// The carried chunk runs the whole quantum and carries over; the
+    /// slice is already taken off the chunk.
+    Carry {
+        instr: f64,
+        misses_local: f64,
+        misses_remote: f64,
+        util: f64,
+        /// `PowerModel::core_effective` of the active-clock fraction.
+        eff: f64,
+    },
+}
+
+/// The quantum constants of one applied `(cf, uf)` operating point,
+/// evaluated once when the point changes.
+#[derive(Debug, Clone)]
+struct OpPoint {
+    cf: Freq,
+    uf: Freq,
+    cf_hz: f64,
+    cap: f64,
+    t_miss_local: f64,
+    t_miss_remote: f64,
+    power: PowerPoint,
+    /// `MPERF`/`APERF` increments of a core busy for the whole quantum.
+    mperf_tick: f64,
+    aperf_tick: f64,
+}
+
+impl OpPoint {
+    fn new(spec: &MachineSpec, perf: &PerfModel, power: &PowerModel, cf: Freq, uf: Freq) -> Self {
+        let quantum_s = spec.quantum_ns as f64 * 1e-9;
+        // `0.0 + quantum_s`: the general loop's `busy_s` after one
+        // full-quantum slice, so the ticks match it bit for bit.
+        let busy_s = 0.0 + quantum_s;
+        OpPoint {
+            cf,
+            uf,
+            cf_hz: cf.hz(),
+            cap: perf.bandwidth_cap(uf),
+            t_miss_local: perf.t_miss_local(uf),
+            t_miss_remote: perf.t_miss_remote(uf),
+            power: power.at(cf, uf),
+            mperf_tick: busy_s * TSC_HZ,
+            aperf_tick: busy_s * cf.hz(),
+        }
+    }
 }
 
 /// The simulated processor package.
@@ -203,9 +296,16 @@ pub struct SimProcessor {
     perf: PerfModel,
     power: PowerModel,
     msr: MsrFile,
-    cores: Vec<CoreState>,
+    /// Each core's in-flight chunk (`None`: parked).
+    cores: Vec<Option<RunningChunk>>,
+    /// How many `cores` hold a chunk.
+    busy_cores: usize,
+    /// Pass-1 scratch of the quantum kernel, one lane per core.
+    lanes: Vec<Lane>,
     cf: Freq,
     uf: Freq,
+    /// Constants of the applied `(cf, uf)`.
+    op: OpPoint,
     time_ns: u64,
     overload: f64,
     last_stats: QuantumStats,
@@ -213,7 +313,8 @@ pub struct SimProcessor {
     stepped_quanta: u64,
     /// Quanta absorbed analytically by [`SimProcessor::advance_idle`].
     idle_advanced_quanta: u64,
-    /// Quanta absorbed analytically by [`SimProcessor::advance_busy`].
+    /// Quanta replayed through the shared quantum kernel by
+    /// [`SimProcessor::advance_busy`].
     busy_advanced_quanta: u64,
     /// Rotates which core is served first each quantum so no core gets a
     /// systematic head start at pulling work.
@@ -242,15 +343,18 @@ impl SimProcessor {
         let cf = spec.core.max();
         let uf = spec.uncore.max();
         let msr = MsrFile::new(spec.n_cores, cf.0, uf.0);
-        let cores = vec![CoreState::default(); spec.n_cores];
+        let op = OpPoint::new(&spec, &perf, &power, cf, uf);
         SimProcessor {
+            cores: vec![None; spec.n_cores],
+            busy_cores: 0,
+            lanes: vec![Lane::Fetch; spec.n_cores],
             spec,
             perf,
             power,
             msr,
-            cores,
             cf,
             uf,
+            op,
             time_ns: 0,
             overload: 1.0,
             last_stats: QuantumStats::default(),
@@ -336,8 +440,8 @@ impl SimProcessor {
         self.idle_advanced_quanta
     }
 
-    /// Quanta absorbed analytically by the busy fast-forward
-    /// ([`advance_busy`](Self::advance_busy) /
+    /// Quanta replayed through the shared quantum kernel by the busy
+    /// fast-forward ([`advance_busy`](Self::advance_busy) /
     /// [`advance_busy_quanta`](Self::advance_busy_quanta)).
     pub fn busy_advanced_quanta(&self) -> u64 {
         self.busy_advanced_quanta
@@ -345,7 +449,7 @@ impl SimProcessor {
 
     /// Per-quantum telemetry recorded by the most recent
     /// [`advance_busy_quanta`](Self::advance_busy_quanta) call, in
-    /// execution order — one entry per absorbed quantum. Controllers
+    /// execution order — one entry per replayed quantum. Controllers
     /// that fold telemetry every quantum (the Default governor's
     /// traffic EWMA) replay their state from this record to stay
     /// bit-identical with quantum-by-quantum stepping.
@@ -362,7 +466,7 @@ impl SimProcessor {
 
     /// True when no core holds an in-flight chunk.
     pub fn cores_parked(&self) -> bool {
-        self.cores.iter().all(|c| c.current.is_none())
+        self.busy_cores == 0
     }
 
     /// True when the bandwidth-overload fixed point has settled
@@ -443,7 +547,7 @@ impl SimProcessor {
     /// True when the workload is finished *and* every core has drained
     /// its in-flight chunk.
     pub fn workload_drained(&self, wl: &dyn Workload) -> bool {
-        wl.is_done() && self.cores.iter().all(|c| c.current.is_none())
+        wl.is_done() && self.cores_parked()
     }
 
     fn apply_frequency_controls(&mut self) {
@@ -457,62 +561,124 @@ impl SimProcessor {
         // what BIOS "Auto" does under load.
         let target = Freq(max_r.max(min_r));
         self.uf = self.spec.uncore.clamp(target);
+        if (self.cf, self.uf) != (self.op.cf, self.op.uf) {
+            self.op = OpPoint::new(&self.spec, &self.perf, &self.power, self.cf, self.uf);
+        }
     }
 
     /// Advance one quantum, executing work from `wl`.
     pub fn step(&mut self, wl: &mut dyn Workload) {
         self.stepped_quanta += 1;
         self.apply_frequency_controls();
-        let cap = self.perf.bandwidth_cap(self.uf);
-        let t_miss_local = self.perf.t_miss_local(self.uf);
-        let t_miss_remote = self.perf.t_miss_remote(self.uf);
-        self.execute_quantum(wl, cap, t_miss_local, t_miss_remote);
+        self.execute_quantum(wl);
         *self.residency.entry((self.cf.0, self.uf.0)).or_insert(0) += self.spec.quantum_ns;
     }
 
     /// One quantum of core execution, power accounting, and telemetry —
-    /// the shared body of [`step`](Self::step) and
+    /// the shared kernel of [`step`](Self::step) and
     /// [`advance_busy_quanta`](Self::advance_busy_quanta), so the two
-    /// paths are bit-identical by construction. The uncore-derived
-    /// terms (`cap` and the miss latencies) are parameters so a busy
-    /// stretch can hoist them; callers must pass the values derived
-    /// from the currently-applied `uf`. Residency and the path counters
-    /// are the callers' responsibility (both are exact integer updates,
-    /// so hoisting them cannot change any floating-point result).
-    fn execute_quantum(
-        &mut self,
-        wl: &mut dyn Workload,
-        cap: f64,
-        t_miss_local: f64,
-        t_miss_remote: f64,
-    ) {
+    /// paths are bit-identical by construction (see the module doc for
+    /// its two passes). It runs at the applied operating point; the
+    /// callers apply pending frequency controls first. Residency and
+    /// the path counters are the callers' responsibility (both are
+    /// exact integer updates, so hoisting them cannot change any
+    /// floating-point result).
+    fn execute_quantum(&mut self, wl: &mut dyn Workload) {
         let quantum_s = self.spec.quantum_ns as f64 * 1e-9;
         let n = self.spec.n_cores;
         let overload = self.overload.max(1.0);
+        let op = &self.op;
 
+        // Pass 1, core-index order: the first slice of every carried
+        // chunk. Per-lane arithmetic only — nothing here depends on
+        // another core or on the workload.
+        for (core, (slot, lane)) in self.cores.iter_mut().zip(&mut self.lanes).enumerate() {
+            let Some(rc) = slot else {
+                *lane = Lane::Fetch;
+                continue;
+            };
+            // DDCM: a modulated core's clock runs `duty` of the time at
+            // the full voltage — the pipeline stretches but each
+            // instruction still costs the same active cycles.
+            let duty = self.msr.duty_fraction(core);
+            let (compute, total) =
+                rc.time_left(op.cf_hz * duty, op.t_miss_local, op.t_miss_remote, overload);
+            if total <= quantum_s {
+                *lane = Lane::Finish(compute, total);
+                continue;
+            }
+            let frac = quantum_s / total;
+            let instr = rc.remaining_instr * frac;
+            let misses_local = rc.remaining_ml * frac;
+            let misses_remote = rc.remaining_mr * frac;
+            rc.remaining_instr -= instr;
+            rc.remaining_ml -= misses_local;
+            rc.remaining_mr -= misses_remote;
+            // Per-core counters take only this core's additions, so
+            // adding here keeps their order.
+            self.msr.add_inst_retired(core, instr);
+            self.msr
+                .add_unhalted_ticks(core, op.mperf_tick, op.aperf_tick);
+            // (`0.0 + …`: the general loop's accumulators start at 0.)
+            let util = ((0.0 + compute * frac) / quantum_s).clamp(0.0, 1.0);
+            let active = if duty == 1.0 {
+                util
+            } else {
+                ((0.0 + compute * frac * duty) / quantum_s).clamp(0.0, 1.0)
+            };
+            *lane = Lane::Carry {
+                instr,
+                misses_local,
+                misses_remote,
+                util,
+                eff: self.power.core_effective(active),
+            };
+        }
+
+        // Pass 2, rotation order (so no core gets a systematic head
+        // start at pulling work): the workload calls and every
+        // cross-core sum.
         let mut total_instr = 0.0;
         let mut total_ml = 0.0;
         let mut total_mr = 0.0;
         let mut sum_eff = 0.0;
         let mut sum_util = 0.0;
-
-        for k in 0..n {
-            let core = (self.rotate + k) % n;
-            // Split-borrow: temporarily move the core state out so we can
-            // pass `wl` and `self.perf` around freely.
-            let mut st = std::mem::take(&mut self.cores[core]);
-            st.compute_s = 0.0;
-            st.active_s = 0.0;
-            st.busy_s = 0.0;
-            // DDCM: a modulated core's clock runs `duty` of the time at
-            // the full voltage — the pipeline stretches but each
-            // instruction still costs the same active cycles.
+        let mut busy_cores = 0;
+        let mut next = self.rotate;
+        for _ in 0..n {
+            let core = next;
+            next = if next + 1 == n { 0 } else { next + 1 };
+            let mut first = match self.lanes[core] {
+                Lane::Carry {
+                    instr,
+                    misses_local,
+                    misses_remote,
+                    util,
+                    eff,
+                } => {
+                    total_instr += instr;
+                    total_ml += misses_local;
+                    total_mr += misses_remote;
+                    sum_util += util;
+                    sum_eff += eff;
+                    busy_cores += 1;
+                    continue;
+                }
+                Lane::Finish(compute, total) => Some((compute, total)),
+                Lane::Fetch => None,
+            };
             let duty = self.msr.duty_fraction(core);
-            let cf_eff_hz = self.cf.hz() * duty;
+            let cf_eff_hz = op.cf_hz * duty;
+            let slot = &mut self.cores[core];
+            // Pipeline (wall) seconds, active-clock seconds (`compute ·
+            // duty`: the dynamic-power-relevant time), and seconds of
+            // any execution.
+            let mut compute_s = 0.0;
+            let mut active_s = 0.0;
+            let mut busy_s = 0.0;
             let mut budget = quantum_s;
-
             while budget > 1e-15 {
-                let rc = match st.current.take() {
+                let rc = match slot.take() {
                     Some(rc) => rc,
                     None => match wl.next_chunk(core, self.time_ns) {
                         Some(ch) => RunningChunk {
@@ -524,11 +690,9 @@ impl SimProcessor {
                         None => break, // park for the rest of the quantum
                     },
                 };
-
-                let compute = rc.remaining_instr * rc.profile.cpi / cf_eff_hz;
-                let stall_lat = (rc.remaining_ml * t_miss_local + rc.remaining_mr * t_miss_remote)
-                    / rc.profile.mlp;
-                let total = compute + stall_lat * overload;
+                let (compute, total) = first.take().unwrap_or_else(|| {
+                    rc.time_left(cf_eff_hz, op.t_miss_local, op.t_miss_remote, overload)
+                });
 
                 if total <= budget {
                     // Chunk completes within the quantum.
@@ -536,9 +700,9 @@ impl SimProcessor {
                     total_ml += rc.remaining_ml;
                     total_mr += rc.remaining_mr;
                     self.msr.add_inst_retired(core, rc.remaining_instr);
-                    st.compute_s += compute;
-                    st.active_s += compute * duty;
-                    st.busy_s += total;
+                    compute_s += compute;
+                    active_s += compute * duty;
+                    busy_s += total;
                     budget -= total;
                 } else {
                     // Execute a proportional slice and carry the rest.
@@ -550,10 +714,10 @@ impl SimProcessor {
                     total_ml += dl;
                     total_mr += dr;
                     self.msr.add_inst_retired(core, di);
-                    st.compute_s += compute * frac;
-                    st.active_s += compute * frac * duty;
-                    st.busy_s += budget;
-                    st.current = Some(RunningChunk {
+                    compute_s += compute * frac;
+                    active_s += compute * frac * duty;
+                    busy_s += budget;
+                    *slot = Some(RunningChunk {
                         remaining_instr: rc.remaining_instr - di,
                         remaining_ml: rc.remaining_ml - dl,
                         remaining_mr: rc.remaining_mr - dr,
@@ -562,33 +726,42 @@ impl SimProcessor {
                     budget = 0.0;
                 }
             }
+            busy_cores += usize::from(slot.is_some());
 
-            let util = (st.compute_s / quantum_s).clamp(0.0, 1.0);
+            let util = (compute_s / quantum_s).clamp(0.0, 1.0);
             sum_util += util;
             // Power follows the *active-clock* fraction: under DDCM the
             // dynamic energy per instruction is unchanged (same active
             // cycles at the same voltage) while runtime stretches —
             // which is exactly why DVFS saves more for equal slowdown.
-            let active = (st.active_s / quantum_s).clamp(0.0, 1.0);
+            let active = if duty == 1.0 {
+                util
+            } else {
+                (active_s / quantum_s).clamp(0.0, 1.0)
+            };
             sum_eff += self.power.core_effective(active);
-            self.msr.add_unhalted(core, st.busy_s, self.cf.hz());
-            self.cores[core] = st;
+            self.msr.add_unhalted(core, busy_s, op.cf_hz);
         }
-        self.rotate = (self.rotate + 1) % n;
+        self.busy_cores = busy_cores;
+        self.rotate = if self.rotate + 1 == n {
+            0
+        } else {
+            self.rotate + 1
+        };
 
         self.msr.add_tor(total_ml, total_mr);
 
         // Achieved and unconstrained-demand bandwidth this quantum.
         let achieved_bw = (total_ml + total_mr) * LINE_BYTES / quantum_s;
         let demand_bw = achieved_bw * overload;
-        self.overload = if cap > 0.0 {
-            (demand_bw / cap).max(1.0)
+        self.overload = if op.cap > 0.0 {
+            (demand_bw / op.cap).max(1.0)
         } else {
             1.0
         };
 
         let traffic = (achieved_bw / self.perf.dram_peak_bw).clamp(0.0, 1.0);
-        let watts = self.power.package_watts(self.cf, self.uf, sum_eff, traffic);
+        let watts = op.power.package_watts(sum_eff, traffic);
         self.msr.add_energy(watts * quantum_s);
 
         self.last_stats = QuantumStats {
@@ -634,15 +807,12 @@ impl SimProcessor {
         // zero utilization; the additions run per core so the sum
         // rounds exactly as the per-core loop does.
         let mut sum_eff = 0.0;
-        for st in &mut self.cores {
-            st.compute_s = 0.0;
-            st.active_s = 0.0;
-            st.busy_s = 0.0;
+        for _ in 0..n {
             sum_eff += self.power.core_effective(0.0);
         }
         self.rotate = ((self.rotate as u64 + quanta) % n as u64) as usize;
 
-        let watts = self.power.package_watts(self.cf, self.uf, sum_eff, 0.0);
+        let watts = self.op.power.package_watts(sum_eff, 0.0);
         let joules = watts * quantum_s;
         // Repeated additions, not one multiply: the RAPL accumulator
         // must take the same rounding path as quantum-by-quantum
@@ -683,8 +853,9 @@ impl SimProcessor {
         self.advance_idle_quanta(gap.div_ceil(self.spec.quantum_ns));
     }
 
-    /// Fast-forward up to `quanta` *busy* quanta analytically,
-    /// returning how many were absorbed.
+    /// Run up to `quanta` *busy* quanta without the controller,
+    /// replaying each through the shared quantum kernel, and return
+    /// how many ran.
     ///
     /// Equivalent — bit for bit, including floating-point accumulation
     /// order — to calling [`step`](Self::step) the same number of
@@ -701,7 +872,7 @@ impl SimProcessor {
     /// integer additions, accumulated in closed form at the end).
     ///
     /// Chunk completions, workload phase changes, and mid-stretch
-    /// parking are *absorbed* soundly rather than forbidden — the
+    /// parking are *replayed* soundly rather than forbidden — the
     /// replay simply reproduces them. The stretch ends early
     /// (returning the executed count) as soon as every core parks,
     /// because the idle fast-forward handles what follows far more
@@ -713,7 +884,7 @@ impl SimProcessor {
     /// across which the controller's per-quantum action is provably a
     /// no-op — see the busy-capacity contract on
     /// `cuttlefish::controller::FrequencyController`. The telemetry of
-    /// every absorbed quantum is recorded in
+    /// every replayed quantum is recorded in
     /// [`busy_advance_stats`](Self::busy_advance_stats) so controllers
     /// can replay EWMA-style internal state afterwards.
     pub fn advance_busy_quanta(&mut self, wl: &mut dyn Workload, quanta: u64) -> u64 {
@@ -723,18 +894,12 @@ impl SimProcessor {
         }
         self.apply_frequency_controls();
 
-        // Loop invariants: no frequency write can land mid-stretch, so
-        // the uncore-derived latency and bandwidth terms are constant.
-        let cap = self.perf.bandwidth_cap(self.uf);
-        let t_miss_local = self.perf.t_miss_local(self.uf);
-        let t_miss_remote = self.perf.t_miss_remote(self.uf);
-
         let mut executed = 0u64;
         while executed < quanta {
             if self.cores_parked() {
                 break;
             }
-            self.execute_quantum(wl, cap, t_miss_local, t_miss_remote);
+            self.execute_quantum(wl);
             self.advance_stats.push(self.last_stats);
             executed += 1;
         }
@@ -752,7 +917,7 @@ impl SimProcessor {
     /// Fast-forward a busy machine to at least `until_ns`, in whole
     /// quanta (the clock overshoots to the next boundary exactly as a
     /// per-quantum stepping loop would), stopping early if every core
-    /// parks. Returns the quanta absorbed; no-op when `until_ns` is in
+    /// parks. Returns the quanta run; no-op when `until_ns` is in
     /// the past.
     pub fn advance_busy(&mut self, wl: &mut dyn Workload, until_ns: u64) -> u64 {
         let gap = until_ns.saturating_sub(self.time_ns);
@@ -783,7 +948,7 @@ impl SimProcessor {
     pub fn next_event_ns(&self, wl: &dyn Workload) -> Option<u64> {
         let boundary = self.time_ns + self.spec.quantum_ns;
         if !self.cores_parked() {
-            if self.cores.iter().any(|c| c.current.is_none()) {
+            if self.busy_cores < self.spec.n_cores {
                 return Some(boundary);
             }
             return Some(
@@ -815,18 +980,16 @@ impl SimProcessor {
     /// quantum count then absorbs the sub-quantum floating-point drift
     /// the per-quantum slicing accumulates.
     pub fn busy_runway_quanta(&self) -> u64 {
-        let t_ml = self.perf.t_miss_local(self.uf);
-        let t_mr = self.perf.t_miss_remote(self.uf);
+        let op = &self.op;
         let mut earliest = f64::INFINITY;
-        for (core, st) in self.cores.iter().enumerate() {
-            let Some(rc) = st.current.as_ref() else {
+        for (core, slot) in self.cores.iter().enumerate() {
+            let Some(rc) = slot else {
                 return 1; // a parked core can be handed work any quantum
             };
-            let duty = self.msr.duty_fraction(core);
-            let cf_eff_hz = self.cf.hz() * duty;
-            let compute = rc.remaining_instr * rc.profile.cpi / cf_eff_hz;
-            let stall = (rc.remaining_ml * t_ml + rc.remaining_mr * t_mr) / rc.profile.mlp;
-            earliest = earliest.min(compute + stall);
+            let cf_eff_hz = op.cf_hz * self.msr.duty_fraction(core);
+            // (overload 1: `stall · 1.0` is `stall` exactly)
+            let (_, total) = rc.time_left(cf_eff_hz, op.t_miss_local, op.t_miss_remote, 1.0);
+            earliest = earliest.min(total);
         }
         let quantum_s = self.spec.quantum_ns as f64 * 1e-9;
         (earliest / quantum_s).floor().clamp(1.0, 1e18) as u64
@@ -1305,7 +1468,7 @@ mod tests {
     fn advance_busy_is_bit_identical_to_busy_stepping() {
         // Prime a non-trivial machine state (deep bandwidth overload,
         // rotation offset, counter history), then run one copy by
-        // stepping and the other by a single analytic busy advance,
+        // stepping and the other by a single busy advance,
         // against identically-seeded workloads.
         for quanta in [1u64, 2, 3, 17, 400] {
             // Two identical (processor, workload) pairs, primed

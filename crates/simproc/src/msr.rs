@@ -214,8 +214,15 @@ impl MsrFile {
     /// Accumulate unhalted clock ticks on `core`: `busy_s` seconds of
     /// non-halted execution at `cf_hz` actual clock.
     pub fn add_unhalted(&mut self, core: usize, busy_s: f64, cf_hz: f64) {
-        self.mperf[core] += busy_s * TSC_HZ;
-        self.aperf[core] += busy_s * cf_hz;
+        self.add_unhalted_ticks(core, busy_s * TSC_HZ, busy_s * cf_hz);
+    }
+
+    /// Accumulate precomputed `MPERF`/`APERF` tick increments on `core`
+    /// (`busy_s · TSC_HZ` and `busy_s · cf_hz`, for callers that add
+    /// the same busy time many times).
+    pub(crate) fn add_unhalted_ticks(&mut self, core: usize, mperf_ticks: f64, aperf_ticks: f64) {
+        self.mperf[core] += mperf_ticks;
+        self.aperf[core] += aperf_ticks;
     }
 
     /// Exact energy ground truth (not available to MSR readers).

@@ -108,13 +108,24 @@ impl PowerModel {
     /// * `traffic` — achieved memory bandwidth normalized to DRAM peak,
     ///   in `\[0, 1\]`.
     pub fn package_watts(&self, cf: Freq, uf: Freq, core_eff_sum: f64, traffic: f64) -> f64 {
+        self.at(cf, uf).package_watts(core_eff_sum, traffic)
+    }
+
+    /// The model evaluated at one `(cf, uf)` operating point: the
+    /// frequency-dependent factors of [`package_watts`](Self::package_watts),
+    /// computed once for callers that evaluate many quanta at the same
+    /// point.
+    pub(crate) fn at(&self, cf: Freq, uf: Freq) -> PowerPoint {
         let vc = self.v_core.volts(cf);
         let vu = self.v_uncore.volts(uf);
-        let core_dyn = self.k_core * vc * vc * cf.hz() * core_eff_sum;
-        let act = self.act_floor + self.act_slope * traffic.clamp(0.0, 1.0);
-        let uncore_dyn = self.k_uncore * vu * vu * uf.hz() * act;
-        let uncore_static = self.s_uncore * vu * vu;
-        self.p_base + core_dyn + uncore_static + uncore_dyn
+        PowerPoint {
+            p_base: self.p_base,
+            act_floor: self.act_floor,
+            act_slope: self.act_slope,
+            core_dyn_per_eff: self.k_core * vc * vc * cf.hz(),
+            uncore_dyn_per_act: self.k_uncore * vu * vu * uf.hz(),
+            uncore_static: self.s_uncore * vu * vu,
+        }
     }
 
     /// Effective activity of one core with pipeline utilization `util`
@@ -130,6 +141,35 @@ impl PowerModel {
     /// Uncore voltage curve (public for tests and docs).
     pub fn uncore_volts(&self, uf: Freq) -> f64 {
         self.v_uncore.volts(uf)
+    }
+}
+
+/// A [`PowerModel`] at one `(cf, uf)` operating point
+/// ([`PowerModel::at`]). The factors are the left-associative prefixes
+/// of the model's products, so [`package_watts`](Self::package_watts)
+/// performs the same IEEE operations in the same order as
+/// [`PowerModel::package_watts`] and returns the same bits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PowerPoint {
+    p_base: f64,
+    act_floor: f64,
+    act_slope: f64,
+    /// `k_c · V_c² · f_c`.
+    core_dyn_per_eff: f64,
+    /// `k_u · V_u² · f_u`.
+    uncore_dyn_per_act: f64,
+    /// `s_u · V_u²`.
+    uncore_static: f64,
+}
+
+impl PowerPoint {
+    /// Package power in watts; arguments as for
+    /// [`PowerModel::package_watts`].
+    pub(crate) fn package_watts(&self, core_eff_sum: f64, traffic: f64) -> f64 {
+        let core_dyn = self.core_dyn_per_eff * core_eff_sum;
+        let act = self.act_floor + self.act_slope * traffic.clamp(0.0, 1.0);
+        let uncore_dyn = self.uncore_dyn_per_act * act;
+        self.p_base + core_dyn + self.uncore_static + uncore_dyn
     }
 }
 
